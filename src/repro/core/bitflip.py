@@ -204,7 +204,13 @@ class FeatureNormalizer:
 
 @dataclass
 class _RawFeatureParts:
-    """One parameter's pre-feature ingredients from a single forward pass."""
+    """One parameter's pre-feature ingredients from a single forward pass.
+
+    ``values`` aliases the model's parameter array rather than copying it, so
+    the parts describe the model only while it holds the codes of the forward
+    that produced them (or codes restored to those, which re-dequantize to
+    the same values).
+    """
 
     name: str
     values: np.ndarray
@@ -217,17 +223,21 @@ class _RawFeatureParts:
         return (self.name, self.values.shape)
 
 
-def _collect_raw_parts(
-    qmodel: QuantizedModel, features_batch: np.ndarray
-) -> List[_RawFeatureParts]:
-    """Forward pass + per-layer activation summaries, without the feature math.
-
-    Shared between the serial extractor and the fleet-stacked one so both see
-    exactly the same parameter order and activation statistics.
-    """
+def _eval_forward(qmodel: QuantizedModel, features: np.ndarray) -> np.ndarray:
+    """One eval-mode forward of the quantized model; returns the logits."""
     qmodel.sync()
     qmodel.model.eval()
-    qmodel.model.forward(features_batch)
+    return qmodel.model.forward(features)
+
+
+def _activation_parts(qmodel: QuantizedModel) -> List[_RawFeatureParts]:
+    """Per-parameter activation summaries of the model's last forward pass.
+
+    Runs no forward itself: the serial extractors, the calibrator's pool
+    forward and the fleet-stacked construction all read the layer caches the
+    preceding forward left, so they see exactly the same parameter order and
+    activation statistics.
+    """
     param_to_name = {
         id(param): name for name, param in qmodel.model.named_parameters()
     }
@@ -251,6 +261,39 @@ def _collect_raw_parts(
     return parts
 
 
+@dataclass
+class PoolForward:
+    """One eval-mode forward of a quantized model over its calibration pool.
+
+    Everything an edge calibration iteration reads from the model at its
+    current codes: the activation parts the BF features are built from, the
+    predictions the miss observer records and the pool accuracy validation
+    compares.  The calibrator hands the object from step to step instead of
+    re-running the forward while the codes stay the same.
+    """
+
+    parts: List[_RawFeatureParts]
+    predictions: np.ndarray
+    accuracy: float
+
+
+def _pool_forward(qmodel: QuantizedModel, data: Dataset) -> PoolForward:
+    """Run the forward behind :class:`PoolForward` over the whole pool.
+
+    One full-pool forward in place of the chunked ``predict``/``evaluate``:
+    evaluation-mode layers are row-wise, so the arg-max predictions and the
+    accuracy equal theirs.
+    """
+    logits = _eval_forward(qmodel, data.features)
+    predictions = np.argmax(logits, axis=1)
+    correct = int(np.sum(predictions == data.labels))
+    return PoolForward(
+        parts=_activation_parts(qmodel),
+        predictions=predictions,
+        accuracy=correct / len(data),
+    )
+
+
 def _features_for_parts(parts: _RawFeatureParts) -> np.ndarray:
     """The serial feature math for one parameter's collected parts."""
     if parts.values.ndim == 2:
@@ -258,26 +301,17 @@ def _features_for_parts(parts: _RawFeatureParts) -> np.ndarray:
     return _features_for_vector(parts.values, parts.a_in_mean, parts.a_out)
 
 
-def _iter_raw_parameter_features(
-    qmodel: QuantizedModel, features_batch: np.ndarray
-) -> Iterator[Tuple[str, np.ndarray]]:
-    """Yield ``(name, raw_features)`` per quantized parameter after one forward pass."""
-    for parts in _collect_raw_parts(qmodel, features_batch):
-        yield parts.name, _features_for_parts(parts)
-
-
 def _fused_from_parts(parts: List[_RawFeatureParts]) -> "FusedParameterFeatures":
-    """Serial feature construction over already-collected parts (no forward)."""
+    """Unnormalised fused features over already-collected parts (no forward)."""
     return _assemble_fused(
         [(entry.name, _features_for_parts(entry)) for entry in parts]
     )
 
 
 def _normalized_feature_blocks(
-    qmodel: QuantizedModel,
-    features_batch: np.ndarray,
+    parts: List[_RawFeatureParts],
     normalizer: Optional[FeatureNormalizer],
-    fit_normalizer: bool,
+    fit_normalizer: bool = False,
 ) -> List[Tuple[str, np.ndarray]]:
     """Shared feature pipeline behind the per-tensor and fused extractors."""
     if normalizer is None:
@@ -285,10 +319,11 @@ def _normalized_feature_blocks(
         # transform fallback warns about the on-the-fly re-normalization.
         normalizer = FeatureNormalizer()
     blocks: List[Tuple[str, np.ndarray]] = []
-    for name, features in _iter_raw_parameter_features(qmodel, features_batch):
+    for entry in parts:
+        features = _features_for_parts(entry)
         if fit_normalizer:
-            normalizer.fit_update(name, features)
-        blocks.append((name, normalizer.transform(name, features)))
+            normalizer.fit_update(entry.name, features)
+        blocks.append((entry.name, normalizer.transform(entry.name, features)))
     return blocks
 
 
@@ -315,8 +350,9 @@ def extract_parameter_features(
     whose row order matches ``codes.reshape(-1)`` of the corresponding
     :class:`~repro.quantization.quantizer.QuantizedTensor`.
     """
+    _eval_forward(qmodel, features_batch)
     return dict(
-        _normalized_feature_blocks(qmodel, features_batch, normalizer, fit_normalizer)
+        _normalized_feature_blocks(_activation_parts(qmodel), normalizer, fit_normalizer)
     )
 
 
@@ -363,8 +399,10 @@ def extract_parameter_features_fused(
     so one BF inference covers every parameter of the model.  Row order within
     each block matches the per-tensor extractor exactly.
     """
-    blocks = _normalized_feature_blocks(qmodel, features_batch, normalizer, fit_normalizer)
-    return _assemble_fused(blocks)
+    _eval_forward(qmodel, features_batch)
+    return _assemble_fused(
+        _normalized_feature_blocks(_activation_parts(qmodel), normalizer, fit_normalizer)
+    )
 
 
 def _assemble_fused(blocks: List[Tuple[str, np.ndarray]]) -> FusedParameterFeatures:
@@ -381,63 +419,26 @@ def _assemble_fused(blocks: List[Tuple[str, np.ndarray]]) -> FusedParameterFeatu
     return FusedParameterFeatures(names=names, offsets=offsets, matrix=matrix)
 
 
-def extract_parameter_features_raw(
-    qmodel: QuantizedModel, features_batch: np.ndarray
-) -> FusedParameterFeatures:
-    """Fused layout of *unnormalised* per-parameter features.
-
-    Same forward pass, feature math, block order and row order as
-    :func:`extract_parameter_features_fused`, but normalisation is left to the
-    caller.  The fleet calibrator uses this to apply one batched affine
-    transform (assembled from the fitted normaliser moments) across every
-    device's blocks at once — elementwise identical to transforming each
-    block separately.
-    """
-    return _assemble_fused(list(_iter_raw_parameter_features(qmodel, features_batch)))
-
-
-def extract_parameter_features_raw_stacked(
-    qmodels: List[QuantizedModel], feature_batches: List[np.ndarray]
-) -> List[FusedParameterFeatures]:
-    """Batched raw feature construction across homogeneous models.
-
-    Each model still runs its own forward pass (the activations depend on its
-    weights and its pool), but the per-parameter feature *construction* — the
-    elementwise broadcast math of ``_features_for_weight`` /
-    ``_features_for_vector`` — is executed once per parameter with the
-    devices stacked along a leading axis, instead of once per device per
-    parameter.  This is the ROADMAP's "batch the raw feature construction
-    across homogeneous devices" lever, built on the same segment-offset
-    arithmetic as the parameter arena
-    (:class:`~repro.quantization.arena.SegmentLayout`).
-
-    All models must share an architecture (same parameter names and shapes in
-    the same traversal order); :class:`HeterogeneousModelsError` is raised
-    otherwise.  The stacked math performs exactly the serial elementwise
-    operations (it calls the same kernels with a leading batch axis), so each
-    returned :class:`FusedParameterFeatures` is bit-identical to
-    :func:`extract_parameter_features_raw` of the corresponding model.
-    """
-    if len(qmodels) != len(feature_batches):
-        raise ValueError("qmodels and feature_batches must pair up")
-    if not qmodels:
-        return []
-    all_parts = [
-        _collect_raw_parts(qmodel, batch)
-        for qmodel, batch in zip(qmodels, feature_batches)
-    ]
-    return _stack_raw_parts(all_parts)
-
-
 def _stack_raw_parts(
     all_parts: List[List[_RawFeatureParts]],
 ) -> List[FusedParameterFeatures]:
-    """Stacked feature construction over already-collected per-model parts.
+    """Unnormalised fused features of homogeneous models, built stacked.
 
-    Split from :func:`extract_parameter_features_raw_stacked` so a caller
-    holding the collected parts (the fleet calibrator) can fall back to
-    per-model construction on :class:`HeterogeneousModelsError` without
-    re-running any forward pass.
+    Each model's activation parts come from its own forward pass (the
+    activations depend on its weights and its pool), but the per-parameter
+    feature *construction* — the elementwise broadcast math of
+    ``_features_for_weight`` / ``_features_for_vector`` — runs once per
+    parameter with the models stacked along a leading axis, instead of once
+    per model per parameter, over the same segment offsets as the parameter
+    arena (:class:`~repro.quantization.arena.SegmentLayout`).
+
+    All models must share an architecture (same parameter names and shapes in
+    the same traversal order); :class:`HeterogeneousModelsError` is raised
+    otherwise, so a caller (the fleet calibrator) can fall back to
+    :func:`_fused_from_parts` per model.  The stacked math performs exactly
+    the serial elementwise operations, so each returned
+    :class:`FusedParameterFeatures` is bit-identical to
+    :func:`_fused_from_parts` of the same parts.
     """
     from repro.quantization.arena import SegmentLayout
 
@@ -898,10 +899,11 @@ class BitFlipCalibrator:
         Feature standardisation fitted while the BF network was trained
         (shipped with it to the edge).
     batchnorm_refresh_passes:
-        Number of training-mode forward passes over the calibration pool that
-        refresh the BatchNorm running statistics before flipping starts (0 to
+        Number of training-mode passes over the calibration pool that refresh
+        the BatchNorm running statistics before flipping starts (0 to
         disable).  This is inference-only (no gradients) and corresponds to the
-        statistics refresh any calibration pass performs implicitly.
+        statistics refresh any calibration pass performs implicitly.  One
+        forward serves every pass (see :meth:`_refresh_batchnorm_statistics`).
     fused:
         When true (the default), each calibration iteration runs one BF
         inference over the concatenated features of *all* parameter tensors
@@ -940,21 +942,44 @@ class BitFlipCalibrator:
         self.fused = fused
 
     def _refresh_batchnorm_statistics(self, qmodel: QuantizedModel, data: Dataset) -> None:
-        """Update BatchNorm running statistics with training-mode forward passes."""
+        """Refresh BatchNorm running statistics from one training-mode forward.
+
+        The forward applies the first pass's running-stat update; every BN
+        layer then replays that update ``batchnorm_refresh_passes - 1`` more
+        times from the forward's batch moments.  This equals running all the
+        passes, bit for bit, because in training mode BatchNorm normalises
+        with batch moments: the running statistics never feed back into the
+        activations, so every pass computes the same moments.  Precondition:
+        the model has no stochastic training-mode layer (an active
+        :class:`~repro.nn.layers.Dropout` would draw a different mask per
+        pass); no shipped model has one.
+
+        A model without BatchNorm runs no refresh forward at all — the pool
+        forward that follows overwrites everything it would leave behind.
+        """
+        bn_layers = [
+            layer for layer in qmodel.model.modules() if isinstance(layer, nn.BatchNorm)
+        ]
+        if not bn_layers:
+            return
         qmodel.sync()
         qmodel.model.train()
-        for _ in range(self.batchnorm_refresh_passes):
-            qmodel.model.forward(data.features)
+        qmodel.model.forward(data.features)
         qmodel.model.eval()
+        for layer in bn_layers:
+            layer.replay_running_update(self.batchnorm_refresh_passes - 1)
 
     def _predict_per_name(
-        self, qmodel: QuantizedModel, data: Dataset
+        self, parts: List[_RawFeatureParts]
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-parameter ``(flips, confidence)`` from one or many BF inferences."""
+        """Per-parameter ``(flips, confidence)`` from one or many BF inferences.
+
+        Reads the activation parts of a pool forward that already ran; the
+        fused and per-tensor paths see the same normalised feature blocks.
+        """
+        blocks = _normalized_feature_blocks(parts, self.normalizer)
         if self.fused:
-            fused = extract_parameter_features_fused(
-                qmodel, data.features, normalizer=self.normalizer
-            )
+            fused = _assemble_fused(blocks)
             flips, confidence = self.network.predict_flips_with_confidence(
                 fused.matrix, confidence_threshold=self.confidence_threshold
             )
@@ -964,14 +989,11 @@ class BitFlipCalibrator:
                     fused.blocks(flips), fused.blocks(confidence)
                 )
             }
-        feature_map = extract_parameter_features(
-            qmodel, data.features, normalizer=self.normalizer
-        )
         return {
             name: self.network.predict_flips_with_confidence(
                 feats, confidence_threshold=self.confidence_threshold
             )
-            for name, feats in feature_map.items()
+            for name, feats in blocks
         }
 
     def _select_flips(
@@ -1008,30 +1030,25 @@ class BitFlipCalibrator:
             flip_map[name] = selected.reshape(qmodel.qtensors[name].codes.shape)
         return flip_map, applied
 
-    def _propose_flips(
-        self, qmodel: QuantizedModel, data: Dataset
-    ) -> Tuple[Dict[str, np.ndarray], int]:
-        """One BF inference pass: the most confident flips, capped per iteration."""
-        return self._select_flips(qmodel, self._predict_per_name(qmodel, data))
-
     def begin_calibration(
         self, qmodel: QuantizedModel, data: Dataset
-    ) -> Tuple[BitFlipCalibrationStats, float]:
+    ) -> Tuple[BitFlipCalibrationStats, PoolForward]:
         """Pre-loop setup shared by :meth:`calibrate` and the fleet calibrator.
 
-        Refreshes the BatchNorm running statistics and measures the initial
-        pool accuracy (when validation is enabled).  Returns the stats record
-        the calibration loop will fill and the starting pool accuracy.
+        Refreshes the BatchNorm running statistics and runs the pool forward
+        for the starting codes.  Returns the stats record the calibration loop
+        will fill and that forward, which the first
+        :meth:`calibration_step` takes.
         """
         if len(data) == 0:
             raise ValueError("calibration data must contain at least one example")
         stats = BitFlipCalibrationStats(epochs=self.epochs)
         if self.batchnorm_refresh_passes > 0:
             self._refresh_batchnorm_statistics(qmodel, data)
-        pool_accuracy = (
-            qmodel.evaluate(data.features, data.labels) if self.validate else 0.0
-        )
-        return stats, pool_accuracy
+        forward = _pool_forward(qmodel, data)
+        if self.validate:
+            stats.pool_accuracy = forward.accuracy
+        return stats, forward
 
     def calibration_step(
         self,
@@ -1039,34 +1056,38 @@ class BitFlipCalibrator:
         data: Dataset,
         per_name: Dict[str, Tuple[np.ndarray, np.ndarray]],
         stats: BitFlipCalibrationStats,
-        pool_accuracy: float,
+        forward: PoolForward,
         epoch: int,
         epoch_callback=None,
-    ) -> float:
+    ) -> PoolForward:
         """Apply one iteration's predictions: select, flip, validate, revert.
 
         Everything after the BF inference of one calibration iteration —
         shared verbatim between the per-device loop in :meth:`calibrate` and
         the batched fleet path, which computes ``per_name`` from a single
-        fleet-wide inference.  Returns the (possibly updated) pool accuracy.
+        fleet-wide inference.  ``forward`` is the pool forward at the current
+        codes.  Returns the pool forward for the codes the step leaves
+        behind: a fresh post-flip forward when the flips are kept, and
+        ``forward`` itself when they are reverted or none were proposed —
+        the codes are then the ones it was computed on.
         """
         flips, flip_count = self._select_flips(qmodel, per_name)
-        snapshot = qmodel.snapshot_codes() if self.validate else None
         if flips:
+            snapshot = qmodel.snapshot_codes() if self.validate else None
             qmodel.apply_flips(flips)
-        accepted = True
-        if self.validate and flips:
-            new_accuracy = qmodel.evaluate(data.features, data.labels)
-            if new_accuracy + 1e-9 < pool_accuracy:
+            flipped = _pool_forward(qmodel, data)
+            if self.validate and flipped.accuracy + 1e-9 < forward.accuracy:
                 qmodel.restore_codes(snapshot)
                 stats.reverted_epochs += 1
-                accepted = False
+                flip_count = 0
             else:
-                pool_accuracy = new_accuracy
-        stats.flips_per_epoch.append(flip_count if accepted else 0)
+                forward = flipped
+        stats.flips_per_epoch.append(flip_count)
+        if self.validate:
+            stats.pool_accuracy = forward.accuracy
         if epoch_callback is not None:
-            epoch_callback(epoch, qmodel)
-        return pool_accuracy
+            epoch_callback(epoch, qmodel, forward.predictions)
+        return forward
 
     def calibrate(
         self,
@@ -1077,15 +1098,17 @@ class BitFlipCalibrator:
         """Update ``qmodel``'s integer codes using BF inference only.
 
         ``data`` is the union of the QCore and the incoming stream batch
-        (Algorithm 3, line 3).  ``epoch_callback(epoch, qmodel)`` is invoked
-        after every iteration; the QCore updater uses it to track quantization
-        misses while calibration is running (Algorithm 4 runs in parallel).
+        (Algorithm 3, line 3).  ``epoch_callback(epoch, qmodel, predictions)``
+        is invoked after every iteration with the model's pool predictions at
+        the codes the iteration left; the QCore updater uses it to track
+        quantization misses while calibration is running (Algorithm 4 runs in
+        parallel).  One eval-mode pool forward per distinct code state feeds
+        the BF features, the validation and the callback.
         """
-        stats, pool_accuracy = self.begin_calibration(qmodel, data)
+        stats, forward = self.begin_calibration(qmodel, data)
         for epoch in range(self.epochs):
-            per_name = self._predict_per_name(qmodel, data)
-            pool_accuracy = self.calibration_step(
-                qmodel, data, per_name, stats, pool_accuracy, epoch, epoch_callback
+            per_name = self._predict_per_name(forward.parts)
+            forward = self.calibration_step(
+                qmodel, data, per_name, stats, forward, epoch, epoch_callback
             )
-        stats.pool_accuracy = pool_accuracy
         return stats

@@ -187,6 +187,16 @@ class EdgeDeployment:
             "qcore_size": float(len(self.qcore)),
         }
 
+    def observe_frozen(self, context: BatchContext) -> None:
+        """Feed the miss observer for a batch the model is not calibrated on.
+
+        The codes never change, so one pool prediction stands for every one
+        of the calibrator's iterations.
+        """
+        predictions = self.qmodel.predict(context.pool.features)
+        for epoch in range(self.calibrator.epochs):
+            context.observer(epoch, self.qmodel, predictions)
+
     def process_batch(self, batch: Dataset) -> Dict[str, float]:
         """Absorb one labelled stream batch: calibrate the model, update the QCore.
 
@@ -203,8 +213,7 @@ class EdgeDeployment:
         else:
             # NoBF ablation: the model is frozen on the edge; we still observe
             # misses so the QCore update has a signal to work with.
-            for epoch in range(self.calibrator.epochs):
-                context.observer(epoch, self.qmodel)
+            self.observe_frozen(context)
         return self.finish_batch(context, flips_applied)
 
     def clone(self, rng: Optional[np.random.Generator] = None) -> "EdgeDeployment":

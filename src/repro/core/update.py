@@ -112,24 +112,26 @@ class QCoreUpdater:
         level = level if level is not None else qmodel.bits
         pool = self.build_pool(qcore, batch)
         tracker = QuantizationMissTracker(len(pool), [level])
+        # The codes never change here, so one prediction serves every pass.
+        predictions = qmodel.predict(pool.features)
         for _ in range(self.epochs):
-            predictions = qmodel.predict(pool.features)
             tracker.observe_predictions(level, predictions, pool.labels)
         return self.observe_and_resample(qcore, batch, tracker, pool, level)
 
     def make_observer(self, pool: Dataset, level: int):
         """Build a ``(tracker, callback)`` pair for calibration-driven observation.
 
-        The callback matches the ``epoch_callback`` signature of
+        The callback matches the ``epoch_callback(epoch, qmodel,
+        predictions)`` signature of
         :meth:`repro.core.bitflip.BitFlipCalibrator.calibrate`, so quantization
         misses are recorded exactly once per calibration iteration — the
         "update occurs in parallel with model calibration" behaviour of
-        Section 3.4.
+        Section 3.4.  It records the pool predictions it is given and runs no
+        forward of its own.
         """
         tracker = QuantizationMissTracker(len(pool), [level])
 
-        def callback(epoch: int, qmodel: QuantizedModel) -> None:
-            predictions = qmodel.predict(pool.features)
+        def callback(epoch: int, qmodel: QuantizedModel, predictions: np.ndarray) -> None:
             tracker.observe_predictions(level, predictions, pool.labels)
 
         return tracker, callback

@@ -23,10 +23,9 @@ from repro.core.bitflip import (
     BitFlipCalibrationStats,
     FeatureNormalizer,
     HeterogeneousModelsError,
-    _collect_raw_parts,
+    PoolForward,
     _fused_from_parts,
     _stack_raw_parts,
-    extract_parameter_features_raw,
 )
 from repro.data.dataset import Dataset
 from repro.fleet.registry import Fleet
@@ -67,7 +66,7 @@ class _DeviceState:
     device_id: str
     deployment: object
     stats: BitFlipCalibrationStats
-    pool_accuracy: float
+    forward: PoolForward
     pool: Dataset
     fused: Optional[object] = None
     per_name: Optional[dict] = None
@@ -94,9 +93,8 @@ class FleetCalibrator:
     batch_features:
         When true (the default), devices sharing an architecture also share
         their raw feature *construction*: the elementwise feature math runs
-        once per parameter with the devices stacked along a leading axis
-        (:func:`~repro.core.bitflip.extract_parameter_features_raw_stacked`),
-        bit-identical to the per-device extractor.  ``False`` keeps the
+        once per parameter with the devices stacked along a leading axis,
+        bit-identical to the per-device construction.  ``False`` keeps the
         per-device construction.
     """
 
@@ -123,7 +121,7 @@ class FleetCalibrator:
 
         states: List[_DeviceState] = []
         for device_id, deployment in fleet.items():
-            stats, accuracy = deployment.calibrator.begin_calibration(
+            stats, forward = deployment.calibrator.begin_calibration(
                 deployment.qmodel, pools[device_id]
             )
             states.append(
@@ -131,7 +129,7 @@ class FleetCalibrator:
                     device_id=device_id,
                     deployment=deployment,
                     stats=stats,
-                    pool_accuracy=accuracy,
+                    forward=forward,
                     pool=pools[device_id],
                 )
             )
@@ -153,12 +151,12 @@ class FleetCalibrator:
             result.bf_forward_calls += self._predict_round(active, template_cache)
             for state in active:
                 calibrator = state.deployment.calibrator
-                state.pool_accuracy = calibrator.calibration_step(
+                state.forward = calibrator.calibration_step(
                     state.deployment.qmodel,
                     state.pool,
                     state.per_name,
                     state.stats,
-                    state.pool_accuracy,
+                    state.forward,
                     round_index,
                     epoch_callbacks.get(state.device_id),
                 )
@@ -166,7 +164,6 @@ class FleetCalibrator:
             result.rounds += 1
 
         for state in states:
-            state.stats.pool_accuracy = state.pool_accuracy
             result.stats[state.device_id] = state.stats
         return result
 
@@ -175,9 +172,8 @@ class FleetCalibrator:
     ) -> int:
         """One calibration round's BF inference for every active device.
 
-        Extracts each device's raw fused features (a forward pass of *that
-        device's* model over *its* pool — inherently per-device, though the
-        feature *construction* after the forwards is stacked across
+        Builds each device's raw fused features from the pool forward it
+        already holds (the feature *construction* is stacked across
         homogeneous devices), then batches everything per-row across the
         fleet: one affine normalisation over the concatenated blocks of all
         devices with fully-fitted normalisers (the moments are per parameter,
@@ -254,12 +250,14 @@ class FleetCalibrator:
         return len(groups)
 
     def _extract_features(self, active: List[_DeviceState]) -> None:
-        """Fill each active device's raw fused features.
+        """Fill each active device's raw fused features from its current parts.
 
-        Devices sharing an architecture (same parameter names and shapes, the
+        Runs no forward: every device's activation parts come from the pool
+        forward its calibrator handed over for the current codes.  Devices
+        sharing an architecture (same parameter names and shapes, the
         replicated-fleet case) run their elementwise feature construction as
-        one stacked pass; singletons and heterogeneous stragglers fall back
-        to the per-device extractor.  Both produce bit-identical features.
+        one stacked pass; singletons and heterogeneous stragglers build their
+        own.  Both produce bit-identical features.
         """
         pending = list(active)
         if self.batch_features and len(active) > 1:
@@ -278,28 +276,18 @@ class FleetCalibrator:
                 if len(members) < 2:
                     pending.extend(members)
                     continue
-                # Forwards run once here; stacking reuses the collected parts,
-                # and so does the fallback below — no forward runs twice.
-                all_parts = [
-                    _collect_raw_parts(
-                        state.deployment.qmodel, state.pool.features
-                    )
-                    for state in members
-                ]
+                all_parts = [state.forward.parts for state in members]
                 try:
                     fused_list = _stack_raw_parts(all_parts)
                 except HeterogeneousModelsError:
                     # Same outer signature but diverging BF traversal — build
-                    # each device's features from its already-collected parts.
-                    for state, parts in zip(members, all_parts):
-                        state.fused = _fused_from_parts(parts)
+                    # each device's features on its own.
+                    pending.extend(members)
                     continue
                 for state, fused in zip(members, fused_list):
                     state.fused = fused
         for state in pending:
-            state.fused = extract_parameter_features_raw(
-                state.deployment.qmodel, state.pool.features
-            )
+            state.fused = _fused_from_parts(state.forward.parts)
 
     @staticmethod
     def _normalization_template(
@@ -375,8 +363,7 @@ class FleetCalibrator:
                 flips_applied = calibration.stats[device_id].total_flips
             else:
                 flips_applied = 0
-                for epoch in range(deployment.calibrator.epochs):
-                    contexts[device_id].observer(epoch, deployment.qmodel)
+                deployment.observe_frozen(contexts[device_id])
             report.reports[device_id] = deployment.finish_batch(
                 contexts[device_id], flips_applied
             )

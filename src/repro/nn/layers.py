@@ -9,7 +9,7 @@ relies on these activation snapshots to compute the per-parameter feature
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -308,6 +308,7 @@ class BatchNorm(Module):
         # BatchNorm scale/shift are treated as weights for quantization purposes.
         self.weight = self.gamma
         self._cache: Optional[tuple] = None
+        self._batch_moments: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.last_input: Optional[np.ndarray] = None
         self.last_output: Optional[np.ndarray] = None
 
@@ -329,8 +330,8 @@ class BatchNorm(Module):
         if self.training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self._batch_moments = (mean, var)
+            self._update_running_stats(mean, var)
         else:
             mean = self.running_mean
             var = self.running_var
@@ -340,6 +341,27 @@ class BatchNorm(Module):
         self._cache = (normalized, inv_std, axes, shape)
         self.last_output = out
         return out
+
+    def _update_running_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+
+    def replay_running_update(self, times: int) -> None:
+        """Apply the last training-mode forward's running-stat update ``times`` more times.
+
+        Bit-identical to ``times`` further training-mode forwards over the
+        same input when nothing upstream of this layer is stochastic: in
+        training mode the layer normalises with batch moments, so its running
+        statistics never feed back into the activations and every repeated
+        pass would compute the same moments.
+        """
+        if times <= 0:
+            return
+        if self._batch_moments is None:
+            raise RuntimeError("replay_running_update needs a training-mode forward first")
+        mean, var = self._batch_moments
+        for _ in range(times):
+            self._update_running_stats(mean, var)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

@@ -155,7 +155,7 @@ class TestBitFlipCalibrator:
         calls = []
         stats = calibrator.calibrate(
             qmodel, target.train.subset(np.arange(20)),
-            epoch_callback=lambda epoch, qm: calls.append(epoch),
+            epoch_callback=lambda epoch, qm, predictions: calls.append(epoch),
         )
         assert stats.epochs == 2
         assert len(stats.flips_per_epoch) == 2
@@ -277,8 +277,15 @@ class TestFusedFeatureExtraction:
             normalizer=normalizer, batchnorm_refresh_passes=0, fused=fused,
         )
         pool = target.train.subset(np.arange(16))
-        flips_fused, count_fused = make(True)._propose_flips(qmodel, pool)
-        flips_legacy, count_legacy = make(False)._propose_flips(legacy, pool)
+
+        def propose(calibrator, qm):
+            _, forward = calibrator.begin_calibration(qm, pool)
+            return calibrator._select_flips(
+                qm, calibrator._predict_per_name(forward.parts)
+            )
+
+        flips_fused, count_fused = propose(make(True), qmodel)
+        flips_legacy, count_legacy = propose(make(False), legacy)
         assert count_fused == count_legacy
         assert set(flips_fused) == set(flips_legacy)
         for name in flips_fused:

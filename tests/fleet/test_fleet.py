@@ -152,38 +152,39 @@ class TestFleetCalibrator:
         assert result.total_flips > 0
 
     def test_stacked_feature_construction_bit_identical(self, packaged):
-        """Stacked raw feature construction equals the per-device extractor."""
-        from repro.core.bitflip import (
-            extract_parameter_features_raw,
-            extract_parameter_features_raw_stacked,
-        )
+        """Stacked raw feature construction equals the per-device construction."""
+        from repro.core.bitflip import _fused_from_parts, _pool_forward, _stack_raw_parts
 
         data, _, deployment = packaged
         fleet = Fleet.replicate(deployment, 3, seed=0)
         pools = _pools(data, fleet.ids)
-        qmodels = [fleet.get(i).qmodel for i in fleet.ids]
-        batches = [pools[i].features for i in fleet.ids]
-        stacked = extract_parameter_features_raw_stacked(qmodels, batches)
-        for qmodel, batch, fused in zip(qmodels, batches, stacked):
-            reference = extract_parameter_features_raw(qmodel, batch)
+        all_parts = [
+            _pool_forward(fleet.get(i).qmodel, pools[i]).parts for i in fleet.ids
+        ]
+        stacked = _stack_raw_parts(all_parts)
+        for parts, fused in zip(all_parts, stacked):
+            reference = _fused_from_parts(parts)
             assert fused.names == reference.names
             np.testing.assert_array_equal(fused.offsets, reference.offsets)
             np.testing.assert_array_equal(fused.matrix, reference.matrix)
 
     def test_stacked_extraction_rejects_heterogeneous_models(self, packaged):
-        from repro.core.bitflip import extract_parameter_features_raw_stacked
-        from repro.models import build_model
+        from repro.core.bitflip import _pool_forward, _stack_raw_parts
+        from repro.data.dataset import Dataset
         from repro.quantization import quantize_model
 
         data, _, deployment = packaged
         other = quantize_model(
             build_model("MLP", (6,), 3, rng=np.random.default_rng(0)), bits=4
         )
+        target = data[data.domain_names[1]].train
+        pool = target.subset(np.arange(4))
+        other_pool = Dataset(np.zeros((4, 6)), pool.labels, num_classes=3)
         with pytest.raises(ValueError):
-            extract_parameter_features_raw_stacked(
-                [deployment.qmodel, other],
-                [data[data.domain_names[1]].train.features[:4], np.zeros((4, 6))],
-            )
+            _stack_raw_parts([
+                _pool_forward(deployment.qmodel, pool).parts,
+                _pool_forward(other, other_pool).parts,
+            ])
 
     def test_per_device_feature_fallback_matches_batched(self, packaged):
         """batch_features=False walks the identical trajectory."""

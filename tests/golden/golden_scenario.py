@@ -88,7 +88,7 @@ def calibrate_with_digests(deployment, pool):
     """Run edge calibration, recording the codes digest after every epoch."""
     digests = []
 
-    def callback(epoch, qmodel):
+    def callback(epoch, qmodel, predictions):
         digests.append(qmodel.codes_digest())
 
     stats = deployment.calibrator.calibrate(
