@@ -655,14 +655,32 @@ class BitFlipNetwork(Module):
     def predict_flips_with_confidence(
         self, features: np.ndarray, confidence_threshold: float = 0.0
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Predict flips together with the softmax confidence of each prediction."""
+        """Predict flips together with the softmax confidence of each prediction.
+
+        The head works column-wise on the three logit columns: every row
+        reduction of softmax → arg-max → max is an elementwise op over
+        ``(P,)`` columns, which NumPy runs without its per-row reduction
+        overhead.  Each step reproduces its row reduction bit for bit:
+        ``maximum`` is exact and order-free, a length-3 ``sum(axis=1)`` adds
+        left to right, and the arg-max keeps the first of tied maxima.  A
+        softmax row is all finite or all NaN; an all-NaN row maps to index 0
+        (flip ``-1``) as ``np.argmax`` does, and only the sign bit of its NaN
+        confidence may differ from a ``max`` reduction's.
+        """
         logits = self.forward(features)
-        probabilities = nn.functional.softmax(logits, axis=1)
-        flips = np.argmax(probabilities, axis=1) - 1
-        confidence = probabilities.max(axis=1)
+        l0, l1, l2 = logits.T
+        exp = np.exp(logits - np.maximum(np.maximum(l0, l1), l2)[:, None])
+        e0, e1, e2 = exp.T
+        probabilities = exp / ((e0 + e1) + e2)[:, None]
+        p0, p1, p2 = probabilities.T
+        top01 = np.maximum(p0, p1)
+        flips = (p1 > p0).astype(np.int64)
+        flips -= 1
+        flips[p2 > top01] = 1
+        confidence = np.maximum(top01, p2)
         if confidence_threshold > 0.0:
             flips = np.where(confidence >= confidence_threshold, flips, 0)
-        return flips.astype(np.int64), confidence
+        return flips, confidence
 
     def quantize_(self, bits: int) -> "BitFlipNetwork":
         """Quantize the BF network's own weights in place (it is inference-only)."""

@@ -218,6 +218,34 @@ class TestFleetCalibrator:
             assert stats.reverted_epochs == reference.reverted_epochs
             assert stats.pool_accuracy == reference.pool_accuracy
 
+    def test_per_device_thresholds_in_one_group_match_serial(self, packaged):
+        """One shared network, three thresholds: the deferred suppression."""
+        data, _, deployment = packaged
+        pool = _pools(data, ["pool"])["pool"]
+        fleet = Fleet()
+        for threshold in (0.0, 0.6, 0.9):
+            device = deployment.clone()
+            device.calibrator.confidence_threshold = threshold
+            fleet.register(f"threshold-{threshold}", device)
+        serial = Fleet({i: d.clone() for i, d in fleet.items()})
+        pools = {device_id: pool for device_id in fleet.ids}
+
+        serial_stats = {
+            i: serial.get(i).calibrator.calibrate(serial.get(i).qmodel, pool)
+            for i in serial.ids
+        }
+        result = FleetCalibrator().calibrate(fleet, pools)
+
+        assert result.bf_forward_calls == result.rounds
+        assert fleet.codes_digests() == serial.codes_digests()
+        first_epoch = []
+        for device_id in fleet.ids:
+            flips = result.stats[device_id].flips_per_epoch
+            assert flips == serial_stats[device_id].flips_per_epoch
+            first_epoch.append(flips[0])
+        # Same codes and pool everywhere: only the threshold tells them apart.
+        assert first_epoch[0] > first_epoch[1] > first_epoch[2] > 0
+
     def test_heterogeneous_bits_group_per_network(self, packaged):
         data, framework, deployment = packaged
         other = framework.deploy(bits=2)

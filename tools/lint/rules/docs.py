@@ -1,7 +1,7 @@
 """docstring-coverage + doc-links: the documentation gates, as lint rules.
 
-These two rules absorb ``tools/check_docs.py`` (PR 5/6) into the one
-analysis entry point:
+Both run in every ``python -m tools.lint`` invocation, the one analysis
+entry point:
 
 * **docstring-coverage** — every *public* function, class and method in the
   configured packages (the pluggable conv-backend surface, the operational
@@ -14,9 +14,6 @@ analysis entry point:
   ``docs/*.md`` must resolve to an existing file or directory.  External
   links (``http(s)://``, ``mailto:``) and pure in-page anchors are skipped;
   ``path#anchor`` is checked for the path part.
-
-``tools/check_docs.py`` remains as a thin shim over these rules so existing
-CI wiring and doc references keep working.
 """
 
 from __future__ import annotations
