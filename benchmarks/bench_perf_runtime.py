@@ -68,7 +68,7 @@ FULL_CONFIG = dict(
     num_classes=6, num_domains=2, channels=9, length=125,
     train_per_class=24, val_per_class=2, test_per_class=4,
     pool_size=128, bits=4, train_epochs=2,
-    qat_epochs=3, qat_repeats=2,
+    qat_epochs=3, qat_repeats=9,
     edge_epochs=2, edge_repeats=6,
     # fused-QAT workload: compact MLP head over per-channel moment features,
     # calibrated with small batches (the overhead-dominated STE regime).
@@ -142,20 +142,29 @@ def _measure_edge(config: dict, dtype, fused: bool, incremental: bool) -> float:
         return config["edge_epochs"] / float(np.median(timings))
 
 
-def _measure_qat(config: dict, dtype) -> float:
-    """Server-side QAT calibration seconds per epoch for one compute dtype."""
-    with runtime.use_dtype(dtype):
-        qmodel, _, _, _, source = _build_setup(config, incremental=True)
-        timings = []
-        for repeat in range(config["qat_repeats"]):
-            start = time.perf_counter()
-            calibrate_with_backprop(
-                qmodel, source.features, source.labels,
-                epochs=config["qat_epochs"], lr=0.01, batch_size=32,
-                rng=np.random.default_rng(repeat),
-            )
-            timings.append(time.perf_counter() - start)
-        return float(np.median(timings)) / config["qat_epochs"]
+def _measure_qat(config: dict, dtypes: tuple) -> list:
+    """Server-side QAT calibration seconds per epoch, one value per dtype.
+
+    The arms' repeats are interleaved, and the arm that runs first alternates
+    from repeat to repeat, so host drift lands in every arm's median alike
+    instead of in their ratio.
+    """
+    arms = []
+    for dtype in dtypes:
+        with runtime.use_dtype(dtype):
+            qmodel, _, _, _, source = _build_setup(config, incremental=True)
+        arms.append((dtype, qmodel, source, []))
+    for repeat in range(config["qat_repeats"]):
+        for dtype, qmodel, source, timings in arms if repeat % 2 == 0 else arms[::-1]:
+            with runtime.use_dtype(dtype):
+                start = time.perf_counter()
+                calibrate_with_backprop(
+                    qmodel, source.features, source.labels,
+                    epochs=config["qat_epochs"], lr=0.01, batch_size=32,
+                    rng=np.random.default_rng(repeat),
+                )
+                timings.append(time.perf_counter() - start)
+    return [float(np.median(timings)) / config["qat_epochs"] for *_, timings in arms]
 
 
 def _measure_conv_kernel(config: dict, backend: str) -> float:
@@ -383,8 +392,7 @@ def main(argv=None) -> int:
     print(f"  fast:     {edge_fast:.2f} steps/s")
 
     print("measuring QAT calibration epochs...")
-    qat_baseline = _measure_qat(config, np.float64)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float64 baseline arm
-    qat_fast = _measure_qat(config, np.float32)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float32 fast arm
+    qat_baseline, qat_fast = _measure_qat(config, (np.float64, np.float32))  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float64 baseline and float32 fast arms
     print(f"  baseline: {qat_baseline * 1e3:.1f} ms/epoch   fast: {qat_fast * 1e3:.1f} ms/epoch")
 
     print("measuring fused QAT engine (flat arena vs per-tensor STE, both float32)...")

@@ -526,9 +526,9 @@ class CalibrationRoundState:
 
         Computed once and cached: snapshots are immutable by convention
         (capture copies every array, and restore reads without writing), and
-        the service/gateway tier re-digests the same snapshot at submit,
-        dedupe and reuse sites.  The cache is an object-local derived value,
-        so it survives pickling harmlessly.
+        the service tier re-digests the same snapshot at submit and dedupe
+        sites.  The cache is an object-local derived value, so it survives
+        pickling harmlessly.
         """
         if self._digest is not None:
             return self._digest

@@ -6,8 +6,7 @@ two-domain protocol — each a pure function of ``(dataset, spec)`` producing
 the ordinary :class:`~repro.data.streams.StreamScenario` type, so every
 family runs unchanged through ``ContinualEvaluator``, ``repro.eval.parallel``
 and the fleet tier.  Sits one layer above :mod:`repro.data` in the
-architecture DAG (like ``repro.fleet.gateway`` above ``repro.fleet``):
-``repro.data`` never imports it back.
+architecture DAG: ``repro.data`` never imports it back.
 
 See ``docs/scenarios.md`` for the spec schema, the conformance invariants
 every family must pass, and the add-a-family checklist.

@@ -27,32 +27,6 @@ Fault classes (mirroring the service's failure model):
     or briefly unavailable database file.  Recovery: the store's own bounded
     write retry (:meth:`repro.fleet.store.DeviceStateStore._execute`).
 
-Gateway-level fault classes (consumed via :meth:`FaultPlan.gateway_event` by
-the ingestion layer in :mod:`repro.fleet.gateway` and the single-writer store
-daemon in :mod:`repro.fleet.daemon` — these describe *delivery* failures, not
-execution failures, so the plan only reports whether they fire; the gateway
-and chaos harness implement the behaviour):
-
-``stall``
-    A device goes quiet: its report is never delivered and its heartbeats
-    stop.  Recovery: heartbeat lease expiry → requeue once → quarantine.
-``duplicate``
-    The same report is delivered again (at-least-once transport).  Recovery:
-    gateway dedupe by sequence number and pool digest.
-``reorder``
-    Two reports from one device arrive swapped.  Recovery: the gateway
-    dispatches per-device reports in sequence order regardless of arrival.
-``flood``
-    One report is re-delivered ``copies`` times in a burst (a retry storm).
-    Recovery: dedupe plus bounded-queue backpressure (defer / shed).
-``writer_crash``
-    The store-writer daemon dies (``os._exit``) after journaling a command
-    but before applying it.  Recovery: journal replay on daemon restart.
-``lease_expiry``
-    A device's lease is force-expired between batch collection and execution
-    — the narrow race the two-phase gateway tick would otherwise only hit
-    under unlucky timing.  Recovery: the same requeue-once path.
-
 Each spec fires a bounded number of times (``max_fires``), so a fault is
 transient by construction and tests terminate: retry loops eventually see the
 operation succeed.  Fire counting is process-local state; a plan shipped to a
@@ -74,33 +48,11 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "GATEWAY_FAULT_KINDS",
     "InjectedCrash",
     "TransientFault",
 ]
 
-FAULT_KINDS = (
-    "transient",
-    "crash",
-    "slow",
-    "store_write",
-    "stall",
-    "duplicate",
-    "reorder",
-    "flood",
-    "writer_crash",
-    "lease_expiry",
-)
-
-#: The delivery-level kinds consumed through :meth:`FaultPlan.gateway_event`.
-GATEWAY_FAULT_KINDS = (
-    "stall",
-    "duplicate",
-    "reorder",
-    "flood",
-    "writer_crash",
-    "lease_expiry",
-)
+FAULT_KINDS = ("transient", "crash", "slow", "store_write")
 
 
 class TransientFault(RuntimeError):
@@ -130,15 +82,10 @@ class FaultSpec:
         (the default) is fully deterministic; fractional values draw from the
         plan's seeded stream, so they are *reproducibly* random.
     delay:
-        Sleep seconds for ``slow`` faults; for ``stall``, how long the device
-        stays quiet (the chaos harness interprets it).
+        Sleep seconds for ``slow`` faults.
     hard:
-        For ``crash``/``writer_crash``: ``True`` = ``os._exit`` (real process
-        death), ``False`` = raise :class:`InjectedCrash`.
-    copies:
-        For ``duplicate``/``flood``: how many extra deliveries of the report
-        the transport produces (``duplicate`` defaults to 1 extra copy, a
-        flood spec typically sets many).
+        For ``crash``: ``True`` = ``os._exit`` (real process death),
+        ``False`` = raise :class:`InjectedCrash`.
     """
 
     kind: str
@@ -147,7 +94,6 @@ class FaultSpec:
     probability: float = 1.0
     delay: float = 0.0
     hard: bool = False
-    copies: int = 1
 
     def __post_init__(self) -> None:
         """Validate the spec eagerly so a bad plan fails at construction."""
@@ -157,8 +103,6 @@ class FaultSpec:
             raise ValueError("max_fires must be >= 1")
         if not 0.0 < self.probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
 
 
 @dataclass
@@ -236,19 +180,3 @@ class FaultPlan:
         spec = self.should_fire("store_write", sql.split(None, 1)[0].lower())
         if spec is not None:
             raise sqlite3.OperationalError("injected store-write failure")
-
-    def gateway_event(self, kind: str, site: str) -> Optional[FaultSpec]:
-        """Injection point for delivery-level gateway faults.
-
-        Unlike :meth:`on_device_work`, the plan does not *act* here — a
-        delivery fault is behaviour of the transport or scheduler, so the
-        gateway / chaos harness asks whether the fault fires and implements
-        the consequence (drop, re-deliver, swap, force-expire) itself.
-        ``writer_crash`` is the one exception: when a ``hard`` spec fires the
-        store daemon exits immediately, mirroring ``crash``.
-        """
-        if kind not in GATEWAY_FAULT_KINDS:
-            raise ValueError(
-                f"unknown gateway fault kind {kind!r}; expected one of {GATEWAY_FAULT_KINDS}"
-            )
-        return self.should_fire(kind, site)

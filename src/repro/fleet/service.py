@@ -68,7 +68,6 @@ from repro.fleet.calibrator import FleetCalibrator
 from repro.fleet.faults import FaultPlan
 from repro.fleet.registry import Fleet
 from repro.fleet.store import DeviceStateStore
-from repro.utils.env import env_int
 
 __all__ = [
     "FleetService",
@@ -124,21 +123,6 @@ class RetryPolicy:
     jitter: float = 0.25
     timeout: Optional[float] = None
     seed: int = 0
-
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "RetryPolicy":
-        """Build a policy honouring the ``REPRO_FLEET_MAX_ATTEMPTS`` env knob.
-
-        Explicit keyword ``overrides`` win over the environment; validation
-        (with errors naming the variable) happens at parse time, so a typo'd
-        deployment knob fails on service construction, not mid-round.  See
-        ``docs/operations.md`` for the knob table.
-        """
-        if "max_attempts" not in overrides:
-            overrides["max_attempts"] = env_int(
-                "REPRO_FLEET_MAX_ATTEMPTS", cls.max_attempts, minimum=1
-            )
-        return cls(**overrides)
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -196,11 +180,6 @@ class RoundOutcome:
     stats: Dict[str, BitFlipCalibrationStats] = field(default_factory=dict)
     statuses: Dict[str, str] = field(default_factory=dict)
     quarantined: Dict[str, str] = field(default_factory=dict)
-    #: Per-device post-round CalibrationRoundState for devices that reached
-    #: ``done`` — callers that submit the *next* round for these devices can
-    #: pass it back via ``submit(..., snapshots=...)`` and skip re-capturing
-    #: (the gateway's steady-state path).
-    result_states: Dict[str, Any] = field(default_factory=dict)
     num_groups: int = 0
     retries: int = 0
     resumed_devices: int = 0
@@ -248,9 +227,9 @@ class FleetService:
         state in place on success (exactly like the raw calibrator would).
     store:
         Durable state store; defaults to an in-memory store (API-complete but
-        not crash-safe — pass a file-backed store for durability, or a
-        :class:`~repro.fleet.daemon.StoreClient` to share one writer daemon
-        across many submitter processes).
+        not crash-safe — pass a file-backed store for durability).  The
+        service's own process is the store's only writer: pooled workers
+        return their results and the parent persists them.
     retry_policy:
         Retry/backoff/timeout knobs; defaults to :class:`RetryPolicy()`.
     calibrator:
@@ -270,7 +249,7 @@ class FleetService:
     def __init__(
         self,
         fleet: Fleet,
-        store: Optional[Any] = None,  # DeviceStateStore or daemon.StoreClient
+        store: Optional[DeviceStateStore] = None,
         retry_policy: Optional[RetryPolicy] = None,
         calibrator: Optional[FleetCalibrator] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -314,26 +293,18 @@ class FleetService:
         self,
         pools: Mapping[str, Dataset],
         device_ids: Optional[List[str]] = None,
-        snapshots: Optional[Mapping[str, Any]] = None,
     ) -> int:
         """Open a calibration round; returns its durable round id.
 
         By default every non-quarantined fleet device with a pool joins the
-        round; ``device_ids`` restricts it to a subset (the gateway batches
-        whichever devices reported, not the whole fleet).  Each device's
-        round-start snapshot and dedupe digests are persisted *before* any
-        work happens, which is what later makes retry and resume possible.
+        round; ``device_ids`` restricts it to a subset (e.g. only the devices
+        due for calibration this round).  Each device's round-start snapshot
+        and dedupe digests are persisted *before* any work happens, which is
+        what later makes retry and resume possible.
         Already-quarantined devices are skipped (graceful degradation — the
         round serves the healthy remainder); explicitly naming a quarantined
         or unknown device raises instead, because an explicit subset is a
         claim about who participates.
-
-        ``snapshots`` maps device ids to known-current
-        :class:`~repro.core.bitflip.CalibrationRoundState` objects (e.g. the
-        ``result_states`` of the device's previous round) — provided entries
-        skip the capture walk over the model.  The caller owns the claim
-        that the snapshot matches the device's live state; the gateway is
-        the intended caller and is sole mutator of its devices.
         """
         quarantined = self.store.quarantined_devices()
         if device_ids is None:
@@ -369,10 +340,7 @@ class FleetService:
             key = id(pool)
             if key not in pool_digests:
                 pool_digests[key] = dataset_digest(pool)
-            if snapshots is not None and device_id in snapshots:
-                snapshot = snapshots[device_id]
-            else:
-                snapshot = capture_calibration_state(self.fleet.get(device_id).qmodel)
+            snapshot = capture_calibration_state(self.fleet.get(device_id).qmodel)
             self.store.init_device_round(
                 round_id,
                 device_id,
@@ -406,9 +374,9 @@ class FleetService:
         """Drain every unfinished round in the store (crash-recovery entry).
 
         A round with no device rows is a submit interrupted between
-        ``create_round`` and the first ``init_device_round`` (possible when
-        the writer daemon dies mid-submit): there is nothing to resume, so
-        it is closed out rather than drained.
+        ``create_round`` and the first ``init_device_round`` (a process
+        crash mid-submit): there is nothing to resume, so it is closed out
+        rather than drained.
         """
         outcomes: List[RoundOutcome] = []
         for round_id in self.store.unfinished_rounds():
@@ -457,7 +425,6 @@ class FleetService:
                 restore_calibration_state(deployment.qmodel, row.result_state)
                 outcome.stats[row.device_id] = row.stats
                 outcome.statuses[row.device_id] = "done"
-                outcome.result_states[row.device_id] = row.result_state
                 outcome.resumed_devices += 1
             elif row.status == "quarantined":
                 outcome.statuses[row.device_id] = "quarantined"
@@ -569,7 +536,6 @@ class FleetService:
             self.store.mark_done(round_id, device_id, result_state, stats)
             outcome.stats[device_id] = stats
             outcome.statuses[device_id] = "done"
-            outcome.result_states[device_id] = result_state
 
     def _fail_group(self, round_id: int, group: _Group, error: str) -> None:
         for device_id in group.member_ids:

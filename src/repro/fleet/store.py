@@ -20,11 +20,14 @@ Schema (see ``docs/operations.md`` for the operator view)::
                    pool_digest) that let N identical replicas share one BF
                    forward.
 
-All mutating statements run inside ``BEGIN IMMEDIATE`` transactions and are
-wrapped in a bounded retry (:meth:`DeviceStateStore._execute`) so an injected
-or real transient ``sqlite3.OperationalError`` (locked file, interrupted
-write) is retried rather than poisoning the round — the store-write fault
-class of :mod:`repro.fleet.faults` exercises exactly this path.
+The store has one writer: the process that owns the
+:class:`~repro.fleet.service.FleetService` (pooled workers return their
+results and the parent persists them).  Every mutating statement commits on
+its own and is wrapped in a bounded retry (:meth:`DeviceStateStore._execute`)
+so an injected or real transient ``sqlite3.OperationalError`` (locked file,
+interrupted write) is retried rather than poisoning the round — the
+store-write fault class of :mod:`repro.fleet.faults` exercises exactly this
+path.
 
 Numpy state travels as pickled blobs: pickling preserves dtype, shape and
 byte-exact contents, which the bit-identity contract requires (JSON would
@@ -33,19 +36,17 @@ round-trip floats through decimal text).
 
 from __future__ import annotations
 
-import contextlib
 import datetime as _datetime
 import pickle
 import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "DeviceRoundRecord",
     "DeviceStateStore",
-    "MUTATING_COMMANDS",
     "RoundRecord",
     "StoreError",
 ]
@@ -54,27 +55,6 @@ __all__ = [
 DEVICE_STATUSES = ("pending", "running", "done", "quarantined")
 #: Lifecycle of a round as a whole.
 ROUND_STATUSES = ("submitted", "running", "done")
-
-#: The store methods that mutate state.  This is the command allowlist of the
-#: single-writer daemon (:mod:`repro.fleet.daemon`): exactly these methods are
-#: journaled before application and replayed after a writer crash, and exactly
-#: these trigger a client's ``before_write`` fault hook.
-MUTATING_COMMANDS = frozenset(
-    {
-        "register_device",
-        "quarantine_device",
-        "release_device",
-        "create_round",
-        "set_round_status",
-        "init_device_round",
-        "mark_running",
-        "mark_done",
-        "mark_failed",
-        "mark_quarantined",
-        "set_meta",
-    }
-)
-
 
 class StoreError(RuntimeError):
     """A store operation failed even after its bounded write retries."""
@@ -143,10 +123,6 @@ CREATE TABLE IF NOT EXISTS device_rounds (
 );
 CREATE INDEX IF NOT EXISTS idx_device_rounds_status
     ON device_rounds (round_id, status);
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
 """
 
 
@@ -193,21 +169,10 @@ class DeviceStateStore:
         #: fault-injection harness points this at a ``FaultPlan`` to make
         #: store writes fail transiently; production leaves it ``None``.
         self.before_write: Optional[Callable[[str], None]] = None
-        self._txn_depth = 0
 
     # --------------------------------------------------------------- plumbing
     def _execute(self, sql: str, params: Tuple[Any, ...] = ()) -> sqlite3.Cursor:
-        """Run one mutating statement with bounded retry on transient errors.
-
-        Inside a :meth:`transaction` block the per-statement commit/rollback
-        and retry are suspended — the enclosing transaction owns atomicity,
-        and replaying half of a journaled command would break exactly the
-        invariant the journal exists to protect.
-        """
-        if self._txn_depth > 0:
-            if self.before_write is not None:
-                self.before_write(sql)
-            return self._conn.execute(sql, params)
+        """Run one mutating statement with bounded retry on transient errors."""
         last_error: Optional[Exception] = None
         for attempt in range(self.write_retries):
             try:
@@ -223,79 +188,6 @@ class DeviceStateStore:
         raise StoreError(
             f"store write failed after {self.write_retries} attempts: {last_error}"
         ) from last_error
-
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator["DeviceStateStore"]:
-        """Group several mutations into one atomic commit.
-
-        Nested use flattens into the outermost transaction.  On any
-        exception the whole group rolls back — used by
-        :meth:`apply_journaled` so a journaled command and its sequence-stamp
-        update land together or not at all.
-        """
-        if self._txn_depth > 0:
-            self._txn_depth += 1
-            try:
-                yield self
-            finally:
-                self._txn_depth -= 1
-            return
-        self._txn_depth = 1
-        try:
-            yield self
-        except BaseException:
-            self._conn.rollback()
-            raise
-        else:
-            self._conn.commit()
-        finally:
-            self._txn_depth = 0
-
-    # ------------------------------------------------------------------- meta
-    def get_meta(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        """Read one operational metadata value (e.g. the applied journal seq)."""
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return default if row is None else str(row["value"])
-
-    def set_meta(self, key: str, value: str) -> None:
-        """Upsert one operational metadata value."""
-        self._execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-            (key, str(value)),
-        )
-
-    def applied_journal_seq(self) -> int:
-        """Highest journal sequence number already applied to this store."""
-        return int(self.get_meta("journal_seq", "0") or "0")
-
-    def apply_journaled(
-        self,
-        seq: int,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Mapping[str, Any]] = None,
-    ) -> Tuple[bool, Any]:
-        """Apply one journaled command atomically with its sequence stamp.
-
-        The command and the ``journal_seq`` meta update commit together, so a
-        replayed journal entry whose sequence is already recorded is skipped
-        — exactly-once application over an at-least-once journal.  Returns
-        ``(applied, result)``; ``applied`` is False for a skipped duplicate.
-        """
-        if method not in MUTATING_COMMANDS:
-            raise ValueError(
-                f"{method!r} is not a journalable store command "
-                f"(expected one of {sorted(MUTATING_COMMANDS)})"
-            )
-        if seq <= self.applied_journal_seq():
-            return False, None
-        with self.transaction():
-            result = getattr(self, method)(*args, **dict(kwargs or {}))
-            self.set_meta("journal_seq", str(seq))
-        return True, result
 
     def close(self) -> None:
         """Close the SQLite connection; idempotent (sqlite3 allows re-close)."""

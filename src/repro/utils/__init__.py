@@ -1,6 +1,5 @@
-"""Shared utilities: seeding, timing, env knobs and validation helpers."""
+"""Shared utilities: seeding, timing and validation helpers."""
 
-from repro.utils.env import env_float, env_int
 from repro.utils.seeding import seeded_rng, spawn_rngs
 from repro.utils.timing import Timer
 from repro.utils.validation import (
@@ -10,8 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "env_float",
-    "env_int",
     "seeded_rng",
     "spawn_rngs",
     "Timer",

@@ -8,7 +8,14 @@ import time
 
 import pytest
 
-from repro.fleet.faults import FaultPlan, FaultSpec, InjectedCrash, TransientFault
+from repro.fleet.faults import (
+    FAULT_KINDS,
+    FaultPlan,
+    FaultSpec,
+    InjectedCrash,
+    TransientFault,
+)
+from repro.fleet.store import DeviceStateStore, StoreError
 
 
 class TestFaultSpec:
@@ -23,6 +30,9 @@ class TestFaultSpec:
             FaultSpec(kind="transient", probability=0.0)
         with pytest.raises(ValueError, match="probability"):
             FaultSpec(kind="transient", probability=1.5)
+
+    def test_kinds_are_the_service_failure_classes(self):
+        assert FAULT_KINDS == ("transient", "crash", "slow", "store_write")
 
 
 class TestFiring:
@@ -89,3 +99,85 @@ class TestFiring:
         assert clone.specs[0].kind == "crash"
         assert clone.seed == 3
         assert clone.fires == 0
+
+
+def _fires_on_device_work(plan):
+    try:
+        plan.on_device_work("round1:device-0:a0")
+    except (TransientFault, InjectedCrash):
+        return True
+    return False
+
+
+def _fires_on_store_write(plan):
+    try:
+        plan.on_store_write("UPDATE devices SET quarantined = 1")
+    except sqlite3.OperationalError:
+        return True
+    return False
+
+
+class TestInjectionSites:
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_spec_fires_only_at_its_own_site(self, kind):
+        plan = FaultPlan([FaultSpec(kind=kind, max_fires=9)])
+        store_fired = _fires_on_store_write(plan)
+        work_fired = _fires_on_device_work(plan)
+        if kind == "slow":  # a straggler delays; it never raises
+            assert (store_fired, work_fired, plan.fires) == (False, False, 1)
+        elif kind == "store_write":
+            assert (store_fired, work_fired, plan.fires) == (True, False, 1)
+        else:
+            assert (store_fired, work_fired, plan.fires) == (False, True, 1)
+
+    def test_budgets_are_per_spec(self):
+        plan = FaultPlan(
+            [
+                FaultSpec(kind="transient", target="device-0", max_fires=1),
+                FaultSpec(kind="transient", target="device-1", max_fires=2),
+            ]
+        )
+        fired = []
+        for site in ["device-0", "device-0", "device-1", "device-1", "device-1"]:
+            try:
+                plan.on_device_work(site)
+                fired.append(False)
+            except TransientFault:
+                fired.append(True)
+        assert fired == [True, False, True, True, False]
+        assert plan.fires == 3
+
+    def test_one_call_can_be_slow_and_then_crash(self):
+        plan = FaultPlan(
+            [FaultSpec(kind="crash", hard=False), FaultSpec(kind="slow", delay=0.02)]
+        )
+        started = time.perf_counter()
+        with pytest.raises(InjectedCrash):
+            plan.on_device_work("s")
+        assert time.perf_counter() - started >= 0.02
+        assert plan.fires == 2
+
+    def test_store_write_site_is_the_lowercased_sql_verb(self):
+        plan = FaultPlan([FaultSpec(kind="store_write", target="devices", max_fires=9)])
+        plan.on_store_write("UPDATE devices SET quarantined = 1")  # table names never match
+        plan = FaultPlan([FaultSpec(kind="store_write", target="insert", max_fires=9)])
+        with pytest.raises(sqlite3.OperationalError):
+            plan.on_store_write("  INSERT INTO devices VALUES (1)")
+
+
+class TestStoreUnderFaults:
+    @pytest.mark.parametrize("fires,absorbed", [(1, True), (2, True), (3, False)])
+    def test_write_retries_absorb_a_bounded_fault(self, fires, absorbed):
+        """A store-write fault is absorbed while its budget is below the
+        store's write retries and surfaces as ``StoreError`` once it is not."""
+        plan = FaultPlan([FaultSpec(kind="store_write", target="insert", max_fires=fires)])
+        with DeviceStateStore(write_retries=3, retry_sleep=0.0) as store:
+            store.before_write = plan.on_store_write
+            if absorbed:
+                store.register_device("d0")
+                store.before_write = None
+                assert store.create_round(["d0"]) == 1
+            else:
+                with pytest.raises(StoreError, match="after 3 attempts"):
+                    store.register_device("d0")
+            assert plan.fires == fires

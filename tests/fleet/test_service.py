@@ -24,7 +24,8 @@ from repro.fleet import (
     RetryPolicy,
     dataset_digest,
 )
-from repro.fleet.store import DeviceStateStore
+from repro.fleet.service import RoundStatus
+from repro.fleet.store import DeviceStateStore, StoreError
 from repro.models import build_model
 
 TINY_TS = SyntheticTimeSeriesConfig(
@@ -144,6 +145,121 @@ class TestHappyPath:
             service.submit(pools)
 
 
+class TestSubsetSubmit:
+    """``submit(device_ids=...)`` opens a round for exactly the named devices."""
+
+    def test_subset_round_holds_only_named_devices(self, packaged, golden):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        pools = _pools(data, fleet.ids)
+        round_id = service.submit(pools, device_ids=["device-0", "device-2"])
+        rows = service.store.device_rounds(round_id)
+        assert [row.device_id for row in rows] == ["device-0", "device-2"]
+        assert service.store.get_round(round_id).num_devices == 2
+        outcome = service.drain(round_id, pools)
+        assert set(outcome.statuses) == {"device-0", "device-2"}
+        digests = fleet.codes_digests()
+        assert digests["device-0"] == golden["device-0"]
+        assert digests["device-2"] == golden["device-2"]
+
+    def test_devices_outside_the_subset_keep_their_codes(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        before = fleet.codes_digests()
+        service = FleetService(fleet)
+        pools = _pools(data, fleet.ids)
+        round_id = service.submit(pools, device_ids=["device-1"])
+        service.drain(round_id, pools)
+        after = fleet.codes_digests()
+        assert after["device-0"] == before["device-0"]
+        assert after["device-2"] == before["device-2"]
+        assert after["device-1"] != before["device-1"]
+
+    def test_duplicate_id_raises(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        with pytest.raises(ValueError, match="duplicate"):
+            service.submit(_pools(data, fleet.ids), device_ids=["device-0", "device-0"])
+        assert service.store.list_rounds() == []
+
+    def test_unknown_id_raises(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        pools = _pools(data, [*fleet.ids, "device-9"])  # a pool alone is no membership
+        with pytest.raises(KeyError, match="device-9"):
+            service.submit(pools, device_ids=["device-0", "device-9"])
+        assert service.store.list_rounds() == []
+
+    def test_quarantined_id_raises(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        service.store.register_device("device-1")
+        service.store.quarantine_device("device-1", "sensor fault")
+        with pytest.raises(ValueError, match="quarantined"):
+            service.submit(_pools(data, fleet.ids), device_ids=["device-0", "device-1"])
+        assert service.store.list_rounds() == []
+
+
+class TestQuarantineLifecycle:
+    def test_released_device_rejoins_the_next_round(self, packaged):
+        """``release_device`` is the operator's way back: a released device
+        joins the next full round and calibrates like any other."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        service.store.register_device("device-1")
+        service.store.quarantine_device("device-1", "sensor fault")
+        pools = _pools(data, fleet.ids)
+        held = service.submit(pools)
+        assert [row.device_id for row in service.store.device_rounds(held)] == [
+            "device-0",
+            "device-2",
+        ]
+        service.drain(held, pools)
+        service.store.release_device("device-1")
+        rejoined = service.submit(pools)
+        assert [row.device_id for row in service.store.device_rounds(rejoined)] == list(
+            fleet.ids
+        )
+        outcome = service.drain(rejoined, pools)
+        assert outcome.statuses["device-1"] == "done"
+        assert service.store.quarantined_devices() == {}
+
+    def test_whole_fleet_quarantined_raises(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        for device_id in fleet.ids:
+            service.store.register_device(device_id)
+            service.store.quarantine_device(device_id, "bad batch")
+        with pytest.raises(ValueError, match="no eligible devices"):
+            service.submit(_pools(data, fleet.ids))
+        assert service.store.list_rounds() == []
+
+    def test_persistent_straggler_quarantines_on_timeout(self, packaged, golden):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        plan = FaultPlan([FaultSpec(kind="slow", target="device-2", delay=0.4, max_fires=9)])
+        policy = RetryPolicy(
+            max_attempts=2, backoff_base=0.0, jitter=0.0, timeout=0.35
+        )
+        service = FleetService(fleet, retry_policy=policy, fault_plan=plan)
+        before = fleet.codes_digests()
+        round_id, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert set(outcome.quarantined) == {"device-2"}
+        assert "TimeoutError" in outcome.quarantined["device-2"]
+        assert service.store.get_device_round(round_id, "device-2").attempts == 2
+        digests = fleet.codes_digests()
+        # The straggler keeps its round-start calibration; the rest match golden.
+        assert digests["device-2"] == before["device-2"]
+        assert digests["device-0"] == golden["device-0"]
+        assert digests["device-1"] == golden["device-1"]
+
+
 class TestFaultInjection:
     def test_transient_fault_retries_to_bit_identical_result(self, packaged, golden):
         data, _, deployment = packaged
@@ -251,6 +367,37 @@ class TestFaultInjection:
         }
 
 
+    def test_fault_plan_is_the_store_write_hook(self, packaged):
+        _, _, deployment = packaged
+        plan = FaultPlan([FaultSpec(kind="store_write")])
+        service = FleetService(_fleet(deployment), fault_plan=plan)
+        assert service.store.before_write == plan.on_store_write
+        assert FleetService(_fleet(deployment)).store.before_write is None
+
+    def test_store_failure_past_write_retries_surfaces_from_submit(self, packaged):
+        """Store writes are the service's durability: a write that keeps
+        failing is raised, never swallowed into a half-recorded round."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        plan = FaultPlan([FaultSpec(kind="store_write", target="insert", max_fires=99)])
+        store = DeviceStateStore(write_retries=2, retry_sleep=0.0)
+        service = FleetService(fleet, store=store, fault_plan=plan)
+        with pytest.raises(StoreError, match="after 2 attempts"):
+            service.submit(_pools(data, fleet.ids))
+        assert plan.fires == 2
+        assert service.store.list_rounds() == []
+
+    def test_pooled_round_is_bit_identical(self, packaged, golden):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        with FleetService(fleet, workers=2, mp_context="fork") as service:
+            round_id, outcome = _drain_round(service, _pools(data, fleet.ids))
+            assert outcome.calibrated_devices == NUM_DEVICES
+            assert outcome.retries == 0
+            assert fleet.codes_digests() == golden
+            assert service.poll(round_id).counts == {"done": NUM_DEVICES}
+
+
 class TestResume:
     def test_interrupted_round_resumes_bit_identical(self, packaged, golden, tmp_path):
         """The headline durability claim: a round interrupted mid-flight and
@@ -306,6 +453,25 @@ class TestResume:
         assert outcome.calibrated_devices == NUM_DEVICES
         assert fleet_b.codes_digests() == golden
 
+    def test_resume_closes_out_a_round_without_device_rows(self, packaged, tmp_path):
+        """A crash between ``create_round`` and the first
+        ``init_device_round`` leaves a round with no device rows: ``resume``
+        marks it done without draining or touching any device."""
+        data, _, deployment = packaged
+        path = tmp_path / "fleet.db"
+        store = DeviceStateStore(path)
+        round_id = store.create_round(["device-0", "device-1"])
+        store.close()  # the "crash": no device row was ever written
+
+        fleet = _fleet(deployment)
+        before = fleet.codes_digests()
+        service = FleetService(fleet, store=DeviceStateStore(path))
+        assert service.store.unfinished_rounds() == [round_id]
+        assert service.resume(_pools(data, fleet.ids)) == []
+        assert service.store.get_round(round_id).status == "done"
+        assert service.store.unfinished_rounds() == []
+        assert fleet.codes_digests() == before
+
     def test_drain_rejects_mismatched_pools(self, packaged):
         data, _, deployment = packaged
         fleet = _fleet(deployment)
@@ -313,6 +479,40 @@ class TestResume:
         round_id = service.submit(_pools(data, fleet.ids))
         with pytest.raises(ValueError, match="bit-identity"):
             service.drain(round_id, _pools(data, fleet.ids, shared=True))
+
+
+    def test_drain_unknown_round_raises(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        with pytest.raises(KeyError, match="unknown round"):
+            service.drain(7, _pools(data, fleet.ids))
+
+    def test_drain_needs_a_pool_for_every_device_row(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        pools = _pools(data, fleet.ids)
+        round_id = service.submit(pools)
+        pools.pop("device-1")
+        with pytest.raises(KeyError, match="device-1"):
+            service.drain(round_id, pools)
+
+
+class TestRoundStatus:
+    @pytest.mark.parametrize(
+        "counts,done",
+        [
+            ({}, True),
+            ({"pending": 1, "done": 2}, False),
+            ({"running": 1}, False),
+            ({"done": 2, "quarantined": 1}, True),
+        ],
+    )
+    def test_done_means_nothing_pending_or_running(self, counts, done):
+        status = RoundStatus(round_id=1, status="running", counts=counts,
+                             attempts={}, quarantined={})
+        assert status.done is done
 
 
 class TestRetryPolicy:

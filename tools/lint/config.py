@@ -31,9 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: compute backends must never reach back into the layer API),
 #: ``repro.data.scenarios`` which is deliberately *above* ``repro.data``
 #: (the drift zoo composes datasets into streams; the data primitives never
-#: import the zoo back), and ``repro.fleet.gateway`` which is deliberately
-#: *above* ``repro.fleet`` (the ingestion front end orchestrates the
-#: service/store tier; nothing in the tier may reach up into the gateway).
+#: import the zoo back).
 LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("repro.utils",),
     ("repro.runtime",),
@@ -47,7 +45,6 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("repro.eval",),
     ("repro.results",),
     ("repro.fleet",),
-    ("repro.fleet.gateway",),
 )
 
 #: Module-to-module import edges exempted from the DAG, with the reason the
@@ -85,8 +82,6 @@ def package_of(module: str) -> Optional[str]:
         return "repro.nn.kernels"
     if len(parts) >= 3 and parts[1] == "data" and parts[2] == "scenarios":
         return "repro.data.scenarios"
-    if len(parts) >= 3 and parts[1] == "fleet" and parts[2] == "gateway":
-        return "repro.fleet.gateway"
     if len(parts) >= 2:
         return ".".join(parts[:2])
     return "repro"

@@ -1,9 +1,10 @@
 """bounded-queue: in-process buffers in library code must have a hard bound.
 
-The gateway's backpressure story (PR 9) only works if *every* buffer between
-ingestion and processing has an explicit capacity: an unbounded ``Queue`` or
-``deque`` absorbs overload silently until memory pressure does the load
-shedding, unobservably and at the worst possible moment.  In library code
+Backpressure only works if *every* buffer between a producer and its consumer
+has an explicit capacity (in ``src/`` today that is the worker pool's task
+queue, whose suppression records what bounds its depth): an unbounded ``Queue`` or ``deque`` absorbs overload silently
+until memory pressure does the load shedding, unobservably and at the worst
+possible moment.  In library code
 (``src/``) this rule requires:
 
 * ``queue.Queue`` / ``LifoQueue`` / ``PriorityQueue`` and
